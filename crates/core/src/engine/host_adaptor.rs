@@ -8,7 +8,7 @@
 //! originating function, host queue, and host CID again.
 
 use crate::engine::dma_routing::ChipWindow;
-use bm_nvme::command::{CQE_SIZE, SQE_SIZE};
+use bm_nvme::command::{Sqe, CQE_SIZE, SQE_SIZE};
 use bm_nvme::queue::{CompletionQueue, SubmissionQueue};
 use bm_nvme::types::{Cid, QueueId};
 use bm_nvme::Cqe;
@@ -205,12 +205,11 @@ impl BackEndPort {
     /// # Panics
     ///
     /// Panics if the ring is full.
-    pub fn push_sqe(&mut self, chip: &mut HostMemory, sqe_bytes: &[u8; SQE_SIZE as usize]) -> u32 {
+    pub fn push_sqe(&mut self, chip: &mut HostMemory, sqe: &Sqe) -> u32 {
         assert!(!self.sq.is_full(), "back-end SQ overflow");
-        // Raw push: write bytes at tail through the chip window.
+        // Write the entry at tail through the chip window.
         let mut win = ChipWindow(chip);
-        let sqe = bm_nvme::Sqe::from_bytes(sqe_bytes).expect("engine-built SQE parses");
-        self.sq.push(&mut win, &sqe).expect("capacity checked");
+        self.sq.push(&mut win, sqe).expect("capacity checked");
         self.sq.tail() as u32
     }
 
@@ -413,7 +412,6 @@ mod tests {
     use super::*;
     use bm_nvme::command::IoOpcode;
     use bm_nvme::types::{Lba, Nsid};
-    use bm_nvme::Sqe;
 
     fn origin(i: u8) -> Outstanding {
         Outstanding {
@@ -429,7 +427,7 @@ mod tests {
         }
     }
 
-    fn sample_sqe(cid: Cid) -> [u8; 64] {
+    fn sample_sqe(cid: Cid) -> Sqe {
         Sqe::io(
             IoOpcode::Read,
             cid,
@@ -439,7 +437,6 @@ mod tests {
             PciAddr::new(0x10_0000),
             PciAddr::NULL,
         )
-        .to_bytes()
     }
 
     #[test]
@@ -475,8 +472,7 @@ mod tests {
     fn sqe_bytes_travel_through_chip_ring() {
         let mut chip = HostMemory::new(64 << 20);
         let mut port = BackEndPort::new(SsdId(0), 16, &mut chip);
-        let bytes = sample_sqe(Cid(5));
-        let tail = port.push_sqe(&mut chip, &bytes);
+        let tail = port.push_sqe(&mut chip, &sample_sqe(Cid(5)));
         assert_eq!(tail, 1);
         // The SSD-side ring fetches the same bytes.
         let (mut ssd_sq, _) = port.ssd_side_rings();

@@ -41,7 +41,7 @@ use bm_nvme::queue::DoorbellLayout;
 use bm_nvme::types::{Cid, Lba, Nsid, QueueId};
 use bm_nvme::{Cqe, Status};
 use bm_pcie::memory::PAGE_SIZE;
-use bm_pcie::{FunctionId, HostMemory, PciAddr, SriovConfig};
+use bm_pcie::{DmaContext, FunctionId, HostMemory, PciAddr, SriovConfig};
 use bm_sim::metrics::{names as metric_names, stages as metric_stages, MetricKey, MetricsHandle};
 use bm_sim::resource::BandwidthLink;
 use bm_sim::telemetry::{CmdId, TelemetryEventKind, TelemetryHandle, TelemetryStage};
@@ -699,6 +699,12 @@ impl BmsEngine {
     /// The mapping table (read-only view).
     pub fn mapping(&self) -> &MappingTable {
         &self.mapping
+    }
+
+    /// Engine chip memory (read-only view): back-end rings and tagged
+    /// PRP-list slots, with their traffic counters.
+    pub fn chip_memory(&self) -> &HostMemory {
+        &self.chip
     }
 
     /// Builds the SSD-side ring descriptors for `ssd` (used when the
@@ -1809,22 +1815,40 @@ impl BmsEngine {
         // Large spans: build the tagged PRP list in the command's chip
         // slot (the "global PRP stored into chip memory" of §IV-C).
         if sqe.io_opcode() != Some(IoOpcode::Flush) && nblocks > 2 && sqe.prp2.is_null() {
-            // Recover each span block's host page by walking the host
-            // command's original PRP chain.
-            let mut entries = Vec::with_capacity(nblocks as usize - 1);
-            for i in 1..nblocks as u64 {
-                let host_page = self.host_page_of(&io, block_off + i, host);
-                entries.push(GlobalPrp::tag(host_page, io.func, false).raw());
-            }
-            let mut win = dma_routing::ChipWindow(&mut self.chip);
-            use bm_pcie::DmaContext;
-            for (i, e) in entries.iter().enumerate() {
-                win.dma_write_u64(list_slot + i as u64 * 8, *e);
+            // Entries 1.. of the span. The host command has more than two
+            // blocks too, so its PRP2 is a list pointer (one slice read of
+            // the host list, tagged in place) or null (a contiguous
+            // buffer). Either way one slice write into the slot. A stack
+            // buffer of one list page; longer spans take it a page of
+            // entries at a time.
+            let from_list = !io.orig_prp2.is_null();
+            let mut buf = [[0u8; 8]; (PAGE_SIZE / 8) as usize];
+            let total = nblocks as u64 - 1;
+            let mut done = 0u64;
+            while done < total {
+                let n = (total - done).min(buf.len() as u64);
+                let entries = &mut buf[..n as usize];
+                if from_list {
+                    let at = io.orig_prp2 + (block_off + done) * 8;
+                    host.read(at, entries.as_flattened_mut());
+                    for e in entries.iter_mut() {
+                        let page = PciAddr::new(u64::from_le_bytes(*e));
+                        *e = GlobalPrp::tag(page, io.func, false).raw().to_le_bytes();
+                    }
+                } else {
+                    for (i, e) in (done + 1..).zip(entries.iter_mut()) {
+                        let page = io.orig_prp1 + (block_off + i) * PAGE_SIZE;
+                        *e = GlobalPrp::tag(page, io.func, false).raw().to_le_bytes();
+                    }
+                }
+                dma_routing::ChipWindow(&mut self.chip)
+                    .dma_write(list_slot + done * 8, entries.as_flattened());
+                done += n;
             }
             sqe.prp2 = list_slot;
         }
         let port = self.adaptor.port_mut(ssd);
-        let tail = port.push_sqe(&mut self.chip, &sqe.to_bytes());
+        let tail = port.push_sqe(&mut self.chip, &sqe);
         let mut at = now + self.cfg.timing.pipeline + self.cfg.timing.backend_forward;
         // Store-and-forward ablation: write payloads must land in card
         // DRAM before the SSD can fetch them.
@@ -1839,23 +1863,6 @@ impl BmsEngine {
         self.metrics
             .with(|m| m.stage_busy(metric_stages::DMA_ROUTING, busy, 1));
         actions.push(EngineAction::BackendDoorbell { ssd, tail, at });
-    }
-
-    /// Resolves the host page backing block `abs_block` of the original
-    /// command (by walking the host's PRP chain).
-    fn host_page_of(&self, io: &PendingIo, abs_block: u64, host: &mut HostMemory) -> PciAddr {
-        let total = io.orig_blocks as u64;
-        if abs_block == 0 {
-            return io.orig_prp1;
-        }
-        if total == 2 {
-            return io.orig_prp2;
-        }
-        if io.orig_prp2.is_null() {
-            // Contiguous single-buffer fallback.
-            return PciAddr::new(io.orig_prp1.raw() + abs_block * PAGE_SIZE);
-        }
-        PciAddr::new(host.read_u64(io.orig_prp2 + (abs_block - 1) * 8))
     }
 
     /// Releases QoS-buffered commands due at `now`.

@@ -1,13 +1,16 @@
 //! Engine edge cases: back-pressure on the host CQ, QoS releases into a
-//! paused SSD, and unbind racing in-flight I/O.
+//! paused SSD, unbind racing in-flight I/O, and the tagged PRP lists the
+//! engine builds in chip memory.
 
 use bm_nvme::command::{IoOpcode, Sqe};
 use bm_nvme::queue::DoorbellLayout;
 use bm_nvme::types::{Cid, Lba, Nsid, QueueId};
 use bm_nvme::{Status, SubmissionQueue};
-use bm_pcie::{FunctionId, HostMemory, PciAddr};
+use bm_pcie::memory::PAGE_SIZE;
+use bm_pcie::{DmaContext, FunctionId, HostMemory, PciAddr};
 use bm_sim::{SimDuration, SimTime};
 use bm_ssd::SsdId;
+use bmstore_core::engine::dma_routing::GlobalPrp;
 use bmstore_core::engine::qos::QosLimit;
 use bmstore_core::engine::{BmsEngine, EngineAction, EngineConfig, Placement};
 
@@ -190,8 +193,6 @@ fn disabled_function_drops_dma_but_enabled_routes() {
     let mut host = HostMemory::new(1 << 20);
     let page = host.alloc(4096).unwrap();
     host.write(page, b"tenant-data");
-    use bm_pcie::DmaContext;
-    use bmstore_core::engine::dma_routing::GlobalPrp;
     let tagged = GlobalPrp::tag(page, fid(0), false);
     {
         let mut router = engine.dma_router(&mut host);
@@ -280,4 +281,109 @@ fn multiple_io_queues_on_one_function_stay_independent() {
         &mut host,
     );
     assert!(none.is_empty());
+}
+
+/// First block of the second 64 GiB mapping chunk.
+const CHUNK_EDGE: u64 = (64 << 30) / PAGE_SIZE;
+
+/// Forwards one `blocks`-block read at `slba` and checks every
+/// back-end command's chip-memory PRP list against the per-entry
+/// reference walk over `pages` (the host page of each block), and the
+/// host/chip traffic against what the per-entry build moved: one 8-byte
+/// host read and one 8-byte chip write per list entry.
+fn check_prp_lists(slba: u64, blocks: u32, contiguous: bool) {
+    let (mut engine, mut host, mut host_sq) = rig(16);
+    let data = host.alloc(blocks as u64 * PAGE_SIZE).unwrap();
+    // Scattered: the host list names the buffer's pages in reverse, so
+    // the list walk and the contiguous fallback disagree.
+    let pages: Vec<PciAddr> = (0..blocks as u64)
+        .map(|b| match (b, contiguous) {
+            (_, true) | (0, false) => data + b * PAGE_SIZE,
+            (_, false) => data + (blocks as u64 - b) * PAGE_SIZE,
+        })
+        .collect();
+    let prp2 = if contiguous {
+        PciAddr::NULL
+    } else {
+        let list = host.alloc(PAGE_SIZE).unwrap();
+        for (i, p) in pages[1..].iter().enumerate() {
+            host.write_u64(list + i as u64 * 8, p.raw());
+        }
+        list
+    };
+    let sqe = Sqe::io(
+        IoOpcode::Read,
+        Cid(7),
+        Nsid::new(1).unwrap(),
+        Lba(slba),
+        blocks,
+        pages[0],
+        prp2,
+    );
+    host_sq.push(&mut host, &sqe).unwrap();
+    let (host_read, chip_written) = (host.bytes_read(), engine.chip_memory().bytes_written());
+    let actions = engine.host_doorbell_write(
+        SimTime::ZERO,
+        fid(0),
+        DoorbellLayout::sq_tail_offset(QueueId(1)),
+        1,
+        &mut host,
+    );
+    let tail = actions
+        .iter()
+        .find_map(|a| match a {
+            EngineAction::BackendDoorbell { tail, .. } => Some(*tail),
+            _ => None,
+        })
+        .expect("command forwarded");
+    let host_read = host.bytes_read() - host_read;
+    let chip_written = engine.chip_memory().bytes_written() - chip_written;
+
+    let (mut ssd_sq, _) = engine.ssd_rings(SsdId(0));
+    ssd_sq.doorbell_tail(tail).unwrap();
+    let mut scratch = HostMemory::new(1 << 20);
+    let mut router = engine.dma_router(&mut scratch);
+    let (mut block_off, mut want_host, mut want_chip) = (0u64, 64u64, 0u64);
+    while let Some(be) = ssd_sq.fetch(&mut router).unwrap() {
+        let n = be.nlb_blocks() as u64;
+        want_chip += 64;
+        if block_off > 0 && !contiguous {
+            want_host += 8; // the span's PRP1, read by the SQE rewrite
+        }
+        assert!(n > 2, "every span carries a list");
+        let mut got = vec![0u8; (n as usize - 1) * 8];
+        router.dma_read(be.prp2, &mut got);
+        let want: Vec<u8> = (1..n)
+            .flat_map(|i| {
+                let page = pages[(block_off + i) as usize];
+                GlobalPrp::tag(page, fid(0), false).raw().to_le_bytes()
+            })
+            .collect();
+        assert_eq!(got, want, "span at block {block_off}");
+        if !contiguous {
+            want_host += (n - 1) * 8;
+        }
+        want_chip += (n - 1) * 8;
+        block_off += n;
+    }
+    assert_eq!(block_off, blocks as u64, "spans cover the transfer");
+    assert_eq!(host_read, want_host, "host bytes read");
+    assert_eq!(chip_written, want_chip, "chip bytes written");
+}
+
+#[test]
+fn prp_list_of_a_32_block_read_matches_per_entry_walk() {
+    check_prp_lists(64, 32, false);
+}
+
+#[test]
+fn prp_lists_of_a_read_split_at_a_chunk_boundary_match_per_entry_walk() {
+    // 10 blocks before the boundary, 22 after: the second span's list
+    // starts at block offset 10 of the host list.
+    check_prp_lists(CHUNK_EDGE - 10, 32, false);
+}
+
+#[test]
+fn prp_list_of_a_contiguous_null_prp2_read_matches_per_entry_walk() {
+    check_prp_lists(64, 8, true);
 }

@@ -74,18 +74,21 @@ impl PrpPair {
                 len,
             };
         }
-        // Build a PRP list (single level: up to 512 entries per page is
-        // enough for the ≤1 MiB transfers fio issues; chain if larger).
+        // Build the PRP list. Simplification: the list is one contiguous
+        // run of entries over as many pages as it needs. Real NVMe
+        // chains list pages through each page's last entry; the model
+        // has no chain pointers, and `segments` and the BMS-Engine read
+        // the list back as the same contiguous run. One page (512
+        // entries) covers the ≤2 MiB transfers fio issues.
         let entries_per_page = PAGE_SIZE / 8;
         let list_pages = extra_pages.div_ceil(entries_per_page);
         let list_base = mem
             .alloc(list_pages * PAGE_SIZE)
             .expect("PRP list allocation");
-        for i in 0..extra_pages {
-            let entry_addr = list_base + i * 8;
-            let page = second + (i * PAGE_SIZE);
-            mem.dma_write_u64(entry_addr, page.raw());
-        }
+        let list: Vec<u8> = (0..extra_pages)
+            .flat_map(|i| (second + i * PAGE_SIZE).raw().to_le_bytes())
+            .collect();
+        mem.write(list_base, &list);
         PrpPair {
             prp1: buf,
             prp2: list_base,
@@ -124,17 +127,25 @@ impl PrpPair {
             out.push((self.prp2, remaining));
             return Ok(out);
         }
-        // PRP2 points at a list.
-        let mut idx = 0u64;
+        // PRP2 points at a list: read the entries still needed, up to
+        // the end of the current list page, one slice at a time.
+        let mut buf = [[0u8; 8]; (PAGE_SIZE / 8) as usize];
+        let mut at = self.prp2;
         while remaining > 0 {
-            let entry = PciAddr::new(mem.dma_read_u64(self.prp2 + idx * 8));
-            if entry.page_offset(PAGE_SIZE) != 0 {
-                return Err(PrpError::MisalignedEntry(entry));
+            let to_page_end = ((PAGE_SIZE - at.page_offset(PAGE_SIZE)) / 8).max(1);
+            let n = remaining.div_ceil(PAGE_SIZE).min(to_page_end);
+            let entries = &mut buf[..n as usize];
+            mem.dma_read(at, entries.as_flattened_mut());
+            for e in entries.iter() {
+                let entry = PciAddr::new(u64::from_le_bytes(*e));
+                if entry.page_offset(PAGE_SIZE) != 0 {
+                    return Err(PrpError::MisalignedEntry(entry));
+                }
+                let len = remaining.min(PAGE_SIZE);
+                out.push((entry, len));
+                remaining -= len;
             }
-            let n = remaining.min(PAGE_SIZE);
-            out.push((entry, n));
-            remaining -= n;
-            idx += 1;
+            at = at + n * 8;
         }
         Ok(out)
     }
@@ -195,6 +206,27 @@ mod tests {
             assert_eq!(*addr, buf + i as u64 * PAGE_SIZE);
         }
         assert_eq!(prp.entry_count() as usize, segs.len());
+    }
+
+    #[test]
+    fn multi_page_list_round_trips_through_segments() {
+        // 4 MiB: 1023 list entries after PRP1, so the list spans two
+        // pages and `segments` reads it in two page-bounded slices.
+        let mut m = mem();
+        let len = 4 << 20;
+        let buf = m.alloc(len).unwrap();
+        let prp = PrpPair::build(&mut m, buf, len);
+        assert!(prp.uses_list());
+        assert_eq!(prp.entry_count(), 1024);
+        let written = m.bytes_written();
+        assert_eq!(written, 1023 * 8, "one list entry per page after PRP1");
+        let read = m.bytes_read();
+        let segs = prp.segments(&mut m).unwrap();
+        assert_eq!(m.bytes_read() - read, 1023 * 8, "each entry read once");
+        assert_eq!(segs.len(), 1024);
+        for (i, (addr, n)) in segs.iter().enumerate() {
+            assert_eq!((*addr, *n), (buf + i as u64 * PAGE_SIZE, PAGE_SIZE));
+        }
     }
 
     #[test]

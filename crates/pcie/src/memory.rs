@@ -5,16 +5,35 @@
 //! particular) are testable end to end: write a pattern from the "host",
 //! let the simulated SSD DMA it out and back, and compare checksums.
 //!
-//! Memory is stored as sparse 4 KiB pages; untouched pages read as zero,
-//! so simulating a 768 GB host costs nothing until pages are written.
+//! Memory is stored as sparse 4 KiB pages behind a two-level radix
+//! table: a top-level vector indexed by `page >> 9` points at leaves of
+//! 512 slots (one leaf spans 2 MiB of address space), each slot naming
+//! its page's frame in a pool of resident pages. Resolving an address is
+//! three array indexings, so the DMA hot path is O(1) per page rather
+//! than a tree search. Untouched pages read as zero and cost nothing.
+//! The top level starts empty and grows to the highest touched 2 MiB
+//! region, one pointer each: creating any memory allocates nothing, and
+//! a 768 GB host touching its last page would carry a 3 MiB top level.
+//! Each touched 2 MiB region adds one 2 KiB leaf, and each resident page
+//! one pool entry, on top of the page itself.
 
 use crate::addr::PciAddr;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Page granularity of the sparse store (matches the x86 page size the
 /// NVMe PRP mechanism is built around).
 pub const PAGE_SIZE: u64 = 4096;
+
+/// log2 of the page slots per leaf of the radix table.
+const LEAF_BITS: u32 = 9;
+/// Page slots per leaf (a leaf spans 2 MiB of address space).
+const LEAF_PAGES: usize = 1 << LEAF_BITS;
+
+type Page = Box<[u8; PAGE_SIZE as usize]>;
+
+/// One second-level node of the page table: per page, 1 + the index of
+/// its frame in `HostMemory::frames`, or 0 while it is untouched.
+type Leaf = [u32; LEAF_PAGES];
 
 /// Sparse byte-addressable memory with a bump allocator.
 ///
@@ -32,7 +51,11 @@ pub const PAGE_SIZE: u64 = 4096;
 /// ```
 pub struct HostMemory {
     size: u64,
-    pages: BTreeMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    /// Top level of the page table, indexed by `page >> LEAF_BITS`;
+    /// grown on demand up to the highest touched leaf.
+    leaves: Vec<Option<Box<Leaf>>>,
+    /// Resident pages in first-touch order.
+    frames: Vec<Page>,
     next_alloc: u64,
     bytes_written: u64,
     bytes_read: u64,
@@ -42,7 +65,7 @@ impl fmt::Debug for HostMemory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HostMemory")
             .field("size", &self.size)
-            .field("resident_pages", &self.pages.len())
+            .field("resident_pages", &self.frames.len())
             .field("next_alloc", &self.next_alloc)
             .finish()
     }
@@ -54,12 +77,15 @@ impl HostMemory {
     ///
     /// # Panics
     ///
-    /// Panics if `size` is smaller than two pages.
+    /// Panics if `size` is smaller than two pages, or so large that its
+    /// page count does not fit in a `u32` (16 TiB).
     pub fn new(size: u64) -> Self {
         assert!(size >= 2 * PAGE_SIZE, "memory too small");
+        assert!(size / PAGE_SIZE < u32::MAX as u64, "memory too large");
         HostMemory {
             size,
-            pages: BTreeMap::new(),
+            leaves: Vec::new(),
+            frames: Vec::new(),
             next_alloc: PAGE_SIZE,
             bytes_written: 0,
             bytes_read: 0,
@@ -98,10 +124,7 @@ impl HostMemory {
             let page_idx = offset / PAGE_SIZE;
             let in_page = (offset % PAGE_SIZE) as usize;
             let n = remaining.len().min(PAGE_SIZE as usize - in_page);
-            let page = self
-                .pages
-                .entry(page_idx)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]));
+            let page = self.page_mut(page_idx);
             page[in_page..in_page + n].copy_from_slice(&remaining[..n]);
             remaining = &remaining[n..];
             offset += n as u64;
@@ -122,7 +145,7 @@ impl HostMemory {
             let page_idx = offset / PAGE_SIZE;
             let in_page = (offset % PAGE_SIZE) as usize;
             let n = remaining.len().min(PAGE_SIZE as usize - in_page);
-            match self.pages.get(&page_idx) {
+            match self.page(page_idx) {
                 Some(page) => remaining[..n].copy_from_slice(&page[in_page..in_page + n]),
                 None => remaining[..n].fill(0),
             }
@@ -191,7 +214,36 @@ impl HostMemory {
 
     /// Number of resident (touched) pages.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.frames.len()
+    }
+
+    /// The resident page `page_idx`, if it was ever written.
+    fn page(&self, page_idx: u64) -> Option<&Page> {
+        let leaf = self
+            .leaves
+            .get((page_idx >> LEAF_BITS) as usize)?
+            .as_deref()?;
+        match leaf[page_idx as usize & (LEAF_PAGES - 1)] {
+            0 => None,
+            frame => Some(&self.frames[frame as usize - 1]),
+        }
+    }
+
+    /// The page `page_idx`, made resident (zero-filled) on first touch.
+    fn page_mut(&mut self, page_idx: u64) -> &mut Page {
+        let top = (page_idx >> LEAF_BITS) as usize;
+        if top >= self.leaves.len() {
+            self.leaves.resize_with(top + 1, || None);
+        }
+        let leaf = self.leaves[top].get_or_insert_with(|| Box::new([0; LEAF_PAGES]));
+        let slot = &mut leaf[page_idx as usize & (LEAF_PAGES - 1)];
+        if *slot == 0 {
+            self.frames.push(Box::new([0u8; PAGE_SIZE as usize]));
+            // Fits: `new` bounds the page count, hence the frame count,
+            // below `u32::MAX`.
+            *slot = self.frames.len() as u32;
+        }
+        &mut self.frames[*slot as usize - 1]
     }
 
     fn check_range(&self, addr: PciAddr, len: u64) {
@@ -283,5 +335,33 @@ mod tests {
     fn out_of_bounds_write_panics() {
         let mut mem = HostMemory::new(2 * PAGE_SIZE);
         mem.write(PciAddr::new(2 * PAGE_SIZE - 1), &[0, 0]);
+    }
+
+    #[test]
+    fn large_host_starts_with_nothing_resident() {
+        let mut mem = HostMemory::new(8 << 30);
+        assert_eq!(mem.resident_pages(), 0);
+        // The last page of an 8 GiB host reads as zero and stays
+        // untouched; writing it makes exactly one page resident.
+        let last = PciAddr::new((8 << 30) - PAGE_SIZE);
+        assert_eq!(mem.read_vec(last, 8), vec![0; 8]);
+        assert_eq!(mem.resident_pages(), 0);
+        mem.write(last, &[7]);
+        assert_eq!(mem.resident_pages(), 1);
+        assert_eq!(mem.read_vec(last, 1), vec![7]);
+    }
+
+    #[test]
+    #[should_panic(expected = "memory too large")]
+    fn page_count_past_u32_is_rejected() {
+        HostMemory::new(1 << 44);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond memory size")]
+    fn out_of_bounds_read_panics() {
+        let mut mem = HostMemory::new(8 << 30);
+        let mut buf = [0u8; 8];
+        mem.read(PciAddr::new((8 << 30) - 4), &mut buf);
     }
 }

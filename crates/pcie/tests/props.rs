@@ -1,9 +1,50 @@
 //! Property tests: memory semantics and MCTP framing under arbitrary
 //! inputs.
 
+use std::collections::BTreeMap;
+
 use bm_pcie::mctp::{Assembler, Eid, MctpMessage, MctpPacket, MessageType, BASELINE_MTU};
+use bm_pcie::memory::PAGE_SIZE;
 use bm_pcie::{HostMemory, PciAddr};
 use proptest::prelude::*;
+
+/// Reference model of [`HostMemory`]: the plain ordered page map the
+/// radix table replaced, with the same traffic counters.
+#[derive(Default)]
+struct RefMemory {
+    pages: BTreeMap<u64, Vec<u8>>,
+    bytes_read: u64,
+    bytes_written: u64,
+}
+
+impl RefMemory {
+    fn write(&mut self, addr: u64, data: &[u8]) {
+        self.bytes_written += data.len() as u64;
+        for (i, b) in data.iter().enumerate() {
+            let a = addr + i as u64;
+            let page = self
+                .pages
+                .entry(a / PAGE_SIZE)
+                .or_insert_with(|| vec![0; PAGE_SIZE as usize]);
+            page[(a % PAGE_SIZE) as usize] = *b;
+        }
+    }
+
+    fn read(&mut self, addr: u64, len: usize) -> Vec<u8> {
+        self.bytes_read += len as u64;
+        (addr..addr + len as u64)
+            .map(|a| {
+                self.pages
+                    .get(&(a / PAGE_SIZE))
+                    .map_or(0, |p| p[(a % PAGE_SIZE) as usize])
+            })
+            .collect()
+    }
+}
+
+/// Memory size for the page-table model check: past one 2 MiB leaf of
+/// the radix table, and not a whole number of leaves.
+const MODEL_SIZE: u64 = (5 << 20) + 3 * PAGE_SIZE;
 
 proptest! {
     /// Read-after-write returns exactly what was written, for arbitrary
@@ -37,6 +78,41 @@ proptest! {
         // The prefix of `a` before the overlap is intact.
         let keep = a.len() as u64 - overlap;
         prop_assert_eq!(mem.read_vec(base, keep), a[..keep as usize].to_vec());
+    }
+
+    /// Random interleaved reads and writes — many straddling a page or
+    /// the 2 MiB leaf boundary of the page table — agree with the
+    /// ordered-map reference on bytes, resident pages and traffic.
+    #[test]
+    fn page_table_matches_reference_model(
+        ops in proptest::collection::vec(
+            (any::<bool>(), 0u64..4, 0u64..(MODEL_SIZE / PAGE_SIZE), 0u64..PAGE_SIZE, 0usize..9_000, any::<u8>()),
+            1..32,
+        ),
+    ) {
+        let mut mem = HostMemory::new(MODEL_SIZE);
+        let mut model = RefMemory::default();
+        for (is_write, anchor, page, offset, len, fill) in ops {
+            // Half the ranges start near a leaf boundary (page 512 or
+            // 1024), the rest anywhere; all end inside memory.
+            let page = match anchor {
+                0 => 511 + page % 2,
+                1 => 1023 + page % 2,
+                _ => page,
+            };
+            let addr = (page * PAGE_SIZE + offset).min(MODEL_SIZE - 1);
+            let len = len.min((MODEL_SIZE - addr) as usize);
+            if is_write {
+                let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                mem.write(PciAddr::new(addr), &data);
+                model.write(addr, &data);
+            } else {
+                prop_assert_eq!(mem.read_vec(PciAddr::new(addr), len as u64), model.read(addr, len));
+            }
+            prop_assert_eq!(mem.resident_pages(), model.pages.len());
+            prop_assert_eq!(mem.bytes_read(), model.bytes_read);
+            prop_assert_eq!(mem.bytes_written(), model.bytes_written);
+        }
     }
 
     #[test]

@@ -89,6 +89,19 @@ echo "==> bench report regression gate (release, --quick)"
 # with --write-baseline bench-baseline.json.
 cargo run --release -q -p bm-bench --bin bench_report -- --quick --baseline bench-baseline.json
 
+echo "==> simbench tests and traced smoke (release)"
+# The benchmark's own contract: its unit tests (including the
+# bit-identity and digest checks), then a one-second traced run on the
+# largest-memory workload, which fails unless its untraced and traced
+# repetitions produce the same digest and every I/O succeeds.
+cargo test --release -q --offline --manifest-path simbench/Cargo.toml
+cargo run --release -q --offline --manifest-path simbench/Cargo.toml -- \
+    --workload ssd4-seqread-128k-metrics --seconds 1 --trace 1 > target/simbench-smoke.txt
+tail -n 1 target/simbench-smoke.txt | grep -q '"correct": true' || {
+    echo "simbench smoke failed; see target/simbench-smoke.txt" >&2
+    exit 1
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

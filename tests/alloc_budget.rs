@@ -11,6 +11,10 @@
 //! 2. A steady-state BM-Store 4K-random-read window grows the
 //!    scheduler's node arena by **zero** slots: every event entry is
 //!    recycled, so scheduler-entry allocations are warm-up-only.
+//! 3. Large I/O costs no more heap allocations per I/O than small I/O:
+//!    in steady state a 128 KiB sequential read (31-entry PRP lists on
+//!    both sides of the engine) allocates no more per completed I/O
+//!    than a 4 KiB random read.
 //!
 //! Everything lives in one `#[test]` so the measured windows run on one
 //! thread, and the counting allocator is **thread-scoped**: only the
@@ -64,18 +68,18 @@ fn pure_scheduler_steady_state_is_allocation_free() {
     );
 }
 
-fn bm_store_read_window_does_not_grow_the_arena() {
-    // The Fig. 8 bare-metal 4K-random-read rig, scaled down: ramp ends
-    // at 12.5 ms, measurement ends at 112.5 ms.
-    let cfg = TestbedConfig::bm_store_bare_metal(1);
-    let spec = FioSpec::rand_r_128().scaled(0.25);
+/// Wires `spec` on every device of `cfg` into a world; returns it with
+/// the jobs' I/O statistics.
+fn wire(cfg: TestbedConfig, spec: FioSpec) -> (World, Vec<Rc<RefCell<IoStats>>>) {
     let seed_base = cfg.seed;
     let mut tb = Testbed::new(cfg);
     let devices = tb.device_count();
     let mut jobs = Vec::new();
+    let mut all_stats = Vec::new();
     for d in 0..devices {
         for j in 0..spec.numjobs {
             let stats = Rc::new(RefCell::new(IoStats::new()));
+            all_stats.push(Rc::clone(&stats));
             jobs.push(FioJob::new(
                 &mut tb,
                 bmstore::testbed::DeviceId(d),
@@ -91,6 +95,16 @@ fn bm_store_read_window_does_not_grow_the_arena() {
     for job in jobs {
         world.add_client(Box::new(job));
     }
+    (world, all_stats)
+}
+
+fn bm_store_read_window_does_not_grow_the_arena() {
+    // The Fig. 8 bare-metal 4K-random-read rig, scaled down: ramp ends
+    // at 12.5 ms, measurement ends at 112.5 ms.
+    let (mut world, _) = wire(
+        TestbedConfig::bm_store_bare_metal(1),
+        FioSpec::rand_r_128().scaled(0.25),
+    );
     // Snapshot the scheduler's arena size across the steady-state
     // window (well past ramp-up at 12.5 ms).
     let snaps: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
@@ -110,9 +124,42 @@ fn bm_store_read_window_does_not_grow_the_arena() {
     assert!(world.events_fired > 0, "the run retired events");
 }
 
+/// Heap allocations per completed I/O between simulated times `from`
+/// and `to` of a four-SSD bare-metal BM-Store run of `spec`.
+fn steady_state_allocs_per_io(spec: FioSpec, from: u64, to: u64) -> f64 {
+    let (mut world, stats) = wire(TestbedConfig::bm_store_bare_metal(4), spec);
+    let marks: Rc<RefCell<Vec<(u64, u64)>>> = Rc::new(RefCell::new(Vec::with_capacity(2)));
+    for ms in [from, to] {
+        let (sink, stats) = (Rc::clone(&marks), stats.clone());
+        world.schedule_action(SimTime::ZERO + SimDuration::from_ms(ms), move |_w, _s| {
+            let ops = stats.iter().map(|s| s.borrow().ops()).sum();
+            sink.borrow_mut().push((alloc::events(), ops));
+        });
+    }
+    world.run(None);
+    let marks = marks.borrow();
+    let [(a0, ops0), (a1, ops1)] = marks[..] else {
+        panic!("both window marks fired: {marks:?}");
+    };
+    assert!(ops1 > ops0, "I/O completed inside the window");
+    (a1 - a0) as f64 / (ops1 - ops0) as f64
+}
+
+fn large_io_allocates_no_more_per_io_than_small_io() {
+    // Windows start well after each run's first completions have
+    // recycled every slot (128 KiB reads at QD256 take tens of ms).
+    let small = steady_state_allocs_per_io(FioSpec::rand_r_128().scaled(0.05), 5, 15);
+    let large = steady_state_allocs_per_io(FioSpec::seq_r_256().scaled(0.1), 100, 200);
+    assert!(
+        large <= small,
+        "128 KiB reads allocate {large:.2}/io, 4 KiB reads {small:.2}/io"
+    );
+}
+
 #[test]
 fn hot_path_allocation_budget() {
     alloc::arm();
     pure_scheduler_steady_state_is_allocation_free();
     bm_store_read_window_does_not_grow_the_arena();
+    large_io_allocates_no_more_per_io_than_small_io();
 }
