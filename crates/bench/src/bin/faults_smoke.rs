@@ -21,11 +21,12 @@ use bm_bench::{header, row};
 use bm_nvme::types::Lba;
 use bm_nvme::Status;
 use bm_sim::faults::{FaultKind, FaultPlan};
+use bm_sim::metrics::{names as metric_names, MetricKey};
 use bm_sim::{SimDuration, SimTime};
 use bm_ssd::SsdId;
 use bm_testbed::{
-    BufferId, Client, ClientOutput, Completion, DeviceId, FaultLog, FaultTraceEvent, IoOp,
-    IoRequest, Testbed, TestbedConfig, World,
+    BufferId, Client, ClientOutput, Completion, DeviceId, IoOp, IoRequest, Testbed, TestbedConfig,
+    World,
 };
 use bmstore_core::controller::commands::BmsCommand;
 use bmstore_core::{FailPolicy, RecoveryEvent};
@@ -161,7 +162,11 @@ fn main() {
     };
     let plan = external.unwrap_or_else(builtin_plan);
     let plan_len = plan.events().len() as u64;
+    // Metrics carry the fault surface: one `fault:*` annotation per
+    // injection plus the MCTP and link-deferral counters. A coarse
+    // sampling period keeps the sampler's cost negligible.
     let cfg = TestbedConfig::bm_store_bare_metal(1)
+        .with_metrics_interval(SimDuration::from_ms(1))
         .with_fault_plan(plan)
         .with_command_timeout(SimDuration::from_us(500), FailPolicy::AbortToHost);
     let mut tb = Testbed::new(cfg);
@@ -176,8 +181,6 @@ fn main() {
     };
     let mut world = World::new(tb);
     world.add_client(Box::new(client));
-    let log = Rc::new(RefCell::new(FaultLog::default()));
-    world.set_observer(log.clone());
     if builtin {
         // The MCTP drop at 950µs tears this request's first
         // transmission; the console retransmits under the same tag.
@@ -190,27 +193,34 @@ fn main() {
             },
         );
     }
-    let world = world.run(None);
+    let mut world = world.run(None);
 
-    let stats = world
+    let (injected, mctp_dropped, retransmits, deferred) = world
         .tb
-        .engine()
-        .expect("BM-Store scheme")
-        .resilience_stats();
-    let log = log.borrow();
-    let count = |f: &dyn Fn(&FaultTraceEvent) -> bool| {
-        log.events().iter().filter(|(_, e)| f(e)).count() as u64
-    };
-    let injected = count(&|e| matches!(e, FaultTraceEvent::Injected(_)));
-    let mctp_dropped = count(&|e| matches!(e, FaultTraceEvent::MctpPacketDropped));
-    let retransmits = count(&|e| matches!(e, FaultTraceEvent::MctpRetransmit { .. }));
-    let deferred = count(&|e| matches!(e, FaultTraceEvent::LinkDeferred { .. }));
-    let retries = count(&|e| {
-        matches!(
-            e,
-            FaultTraceEvent::EngineRecovery(RecoveryEvent::TimeoutRetry { .. })
-        )
-    });
+        .metrics()
+        .read(|m| {
+            let counter = |name| m.counter(&MetricKey::new(name));
+            let injected = m
+                .annotations()
+                .iter()
+                .filter(|a| a.label.starts_with("fault:"))
+                .count() as u64;
+            (
+                injected,
+                counter(metric_names::MCTP_DROPPED),
+                counter(metric_names::MCTP_RETRANSMITS),
+                counter(metric_names::LINK_DEFERRALS),
+            )
+        })
+        .expect("metrics enabled");
+    let (engine, ..) = world.tb.bm_store_parts().expect("BM-Store scheme");
+    let stats = engine.resilience_stats();
+    let retries = engine
+        .take_recovery_events()
+        .iter()
+        .filter(|e| matches!(e, RecoveryEvent::TimeoutRetry { .. }))
+        .count() as u64;
+    assert_eq!(retries, stats.retries, "recovery log and counters disagree");
 
     header("fault-injection smoke", &["count"]);
     row("plan events", &[format!("{plan_len}")]);
@@ -236,9 +246,8 @@ fn main() {
         ],
     );
 
-    let responses = world.mgmt_responses();
-    let upgrade_ok = responses
-        .borrow()
+    let upgrade_ok = world
+        .mgmt_responses()
         .iter()
         .all(|(_, r)| r.status.is_success());
     assert_eq!(

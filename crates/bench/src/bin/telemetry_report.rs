@@ -251,9 +251,8 @@ fn main() {
 
     // Decode the NVMe-MI scrapes (arrival order: mid f0, mid f1,
     // final f0, final f1).
-    let responses = world.mgmt_responses();
-    let pages: Vec<TelemetryLogPage> = responses
-        .borrow()
+    let pages: Vec<TelemetryLogPage> = world
+        .mgmt_responses()
         .iter()
         .map(|(_, r)| TelemetryLogPage::from_bytes(&r.payload).expect("log page decodes"))
         .collect();

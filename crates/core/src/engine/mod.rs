@@ -234,9 +234,8 @@ pub enum FailPolicy {
     QuiesceReplay,
 }
 
-/// A fault-recovery action the engine took, drained via
-/// [`BmsEngine::take_recovery_events`] and surfaced as pipeline trace
-/// events by the testbed.
+/// A fault-recovery action the engine took, kept in the engine's
+/// recovery log and drained via [`BmsEngine::take_recovery_events`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryEvent {
     /// An attempt timed out and the command was forwarded again.
@@ -1042,8 +1041,9 @@ impl BmsEngine {
         actions
     }
 
-    /// Drains the recovery actions taken since the last call (the
-    /// testbed surfaces them as pipeline fault-trace events).
+    /// Drains the recovery actions taken since the last call (the log
+    /// grows only on timeouts, crashes and replacements, never per I/O;
+    /// fault-scenario tests read it after a run).
     pub fn take_recovery_events(&mut self) -> Vec<RecoveryEvent> {
         std::mem::take(&mut self.recovery_log)
     }

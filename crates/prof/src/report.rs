@@ -7,7 +7,7 @@
 //! deterministic path-sorted order and their values sum to the
 //! measured run total (see the crate docs for the scaling argument).
 //!
-//! The JSON report is schema-versioned (`"schema": 1`) and written by
+//! The JSON report is schema-versioned (`"schema": 2`) and written by
 //! hand in fixed field order; [`parse_json`] is the matching minimal
 //! validating parser, used by the `prof --smoke` gate to prove the
 //! report stays machine-readable.
@@ -54,12 +54,12 @@ fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Renders the JSON report (schema 1). Fields are written in a fixed
+/// Renders the JSON report (schema 2). Fields are written in a fixed
 /// order so the output is byte-stable for a given snapshot.
 pub fn render_json(snap: &Snapshot) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": 1,\n");
+    out.push_str("  \"schema\": 2,\n");
     out.push_str(&format!("  \"total_run_ns\": {},\n", snap.total_run_ns));
     out.push_str(&format!("  \"timed_self_ns\": {},\n", snap.timed_self_ns));
     out.push_str(&format!("  \"timing_stride\": {},\n", snap.timing_stride));
@@ -80,17 +80,6 @@ pub fn render_json(snap: &Snapshot) -> String {
             if i + 1 < snap.scopes.len() { "," } else { "" }
         ));
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"timeline\": [\n");
-    for (i, p) in snap.samples.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"wall_ns\": {}, \"events_fired\": {}, \"arena_slots\": {}}}{}\n",
-            p.wall_ns,
-            p.events_fired,
-            p.arena_slots,
-            if i + 1 < snap.samples.len() { "," } else { "" }
-        ));
-    }
     out.push_str("  ]\n");
     out.push_str("}\n");
     out
@@ -100,7 +89,7 @@ pub fn render_json(snap: &Snapshot) -> String {
 /// (schema version, ns accounting, non-empty scope set).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedReport {
-    /// Schema version (must be 1).
+    /// Schema version (must be 2).
     pub schema: u64,
     /// Measured dispatch wall time.
     pub total_run_ns: u64,
@@ -110,11 +99,9 @@ pub struct ParsedReport {
     pub self_ns_sum: u64,
     /// Number of scope entries.
     pub scope_count: usize,
-    /// Number of timeline points.
-    pub sample_count: usize,
 }
 
-/// Minimal validating parser for the schema-1 report. Strict about
+/// Minimal validating parser for the schema-2 report. Strict about
 /// structure (objects, arrays, strings, unsigned integers — the full
 /// grammar [`render_json`] emits) and about required fields.
 ///
@@ -134,7 +121,7 @@ pub fn parse_json(text: &str) -> Result<ParsedReport, String> {
     }
     let obj = value.as_object("top level")?;
     let schema = obj.field_u64("schema")?;
-    if schema != 1 {
+    if schema != 2 {
         return Err(format!("unsupported prof report schema {schema}"));
     }
     let total_run_ns = obj.field_u64("total_run_ns")?;
@@ -167,21 +154,12 @@ pub fn parse_json(text: &str) -> Result<ParsedReport, String> {
         }
         self_ns_sum += s.field_u64("self_ns")?;
     }
-    let timeline = obj.field("timeline")?.as_array("timeline")?;
-    for (i, t) in timeline.iter().enumerate() {
-        let t = t.as_object(&format!("timeline[{i}]"))?;
-        for key in ["wall_ns", "events_fired", "arena_slots"] {
-            t.field_u64(key)
-                .map_err(|e| format!("timeline[{i}]: {e}"))?;
-        }
-    }
     Ok(ParsedReport {
         schema,
         total_run_ns,
         events,
         self_ns_sum,
         scope_count: scopes.len(),
-        sample_count: timeline.len(),
     })
 }
 
@@ -402,7 +380,7 @@ pub fn top_table(snap: &Snapshot, k: usize) -> String {
         ));
     }
     out.push_str(&format!(
-        "total: {:.3} ms dispatch, {} events, {:.0} events/s, {} scopes, {} samples\n",
+        "total: {:.3} ms dispatch, {} events, {:.0} events/s, {} scopes\n",
         snap.total_run_ns as f64 / 1e6,
         snap.events,
         if snap.total_run_ns > 0 {
@@ -411,7 +389,6 @@ pub fn top_table(snap: &Snapshot, k: usize) -> String {
             0.0
         },
         snap.scopes.len(),
-        snap.samples.len(),
     ));
     out
 }
@@ -419,7 +396,6 @@ pub fn top_table(snap: &Snapshot, k: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Sample;
 
     fn scope(path: &[&str], self_ns: u64) -> ScopeStat {
         ScopeStat {
@@ -444,18 +420,6 @@ mod tests {
                 scope(&["client"], 100),
                 scope(&["stage"], 200),
                 scope(&["stage", "Doorbell"], 300),
-            ],
-            samples: vec![
-                Sample {
-                    wall_ns: 10,
-                    events_fired: 1,
-                    arena_slots: 4,
-                },
-                Sample {
-                    wall_ns: 20,
-                    events_fired: 3,
-                    arena_slots: 4,
-                },
             ],
         }
     }
@@ -489,19 +453,18 @@ mod tests {
         let snap = sample_snapshot();
         let text = render_json(&snap);
         let parsed = parse_json(&text).expect("own output parses");
-        assert_eq!(parsed.schema, 1);
+        assert_eq!(parsed.schema, 2);
         assert_eq!(parsed.total_run_ns, 600);
         assert_eq!(parsed.events, 3);
         assert_eq!(parsed.self_ns_sum, 600);
         assert_eq!(parsed.scope_count, 3);
-        assert_eq!(parsed.sample_count, 2);
     }
 
     #[test]
     fn json_parser_rejects_schema_drift() {
         let snap = sample_snapshot();
         let good = render_json(&snap);
-        let bad = good.replace("\"schema\": 1", "\"schema\": 2");
+        let bad = good.replace("\"schema\": 2", "\"schema\": 1");
         assert!(parse_json(&bad).unwrap_err().contains("schema"));
         let bad = good.replace("\"total_run_ns\"", "\"renamed\"");
         assert!(parse_json(&bad).unwrap_err().contains("total_run_ns"));

@@ -538,24 +538,6 @@ impl<W> Simulation<W> {
         }
         fired
     }
-
-    /// Fires the next event if it is due at or before `deadline`;
-    /// returns whether one fired. Once the queue holds nothing due, the
-    /// clock is advanced to `deadline` (matching [`Simulation::run_until`],
-    /// which this decomposes one event at a time — callers that observe
-    /// each event, e.g. a profiling harness, loop on it instead).
-    pub fn step_until(&mut self, deadline: SimTime) -> bool {
-        if self.sched.peek_next_at().is_some_and(|at| at <= deadline) {
-            if let Some((_, action)) = self.sched.pop_due() {
-                action(&mut self.world, &mut self.sched);
-                return true;
-            }
-        }
-        if self.sched.now < deadline {
-            self.sched.now = deadline;
-        }
-        false
-    }
 }
 
 impl<W: std::fmt::Debug> std::fmt::Debug for Simulation<W> {
@@ -694,39 +676,6 @@ mod tests {
         sim.schedule_in(SimDuration::from_us(5), |w: &mut u32, _| *w += 1);
         sim.run_until(SimTime::from_nanos(5_000));
         assert_eq!(*sim.world(), 1);
-    }
-
-    #[test]
-    fn step_until_decomposes_run_until_exactly() {
-        // Same schedule driven by run_until vs a step_until loop must
-        // agree on events fired, world state, and final clock.
-        let build = || {
-            let mut sim = Simulation::new(Vec::<u32>::new());
-            for i in [1u32, 3, 5, 9] {
-                sim.schedule_in(
-                    SimDuration::from_us(i as u64),
-                    move |w: &mut Vec<u32>, _| w.push(i),
-                );
-            }
-            sim
-        };
-        let deadline = SimTime::from_nanos(5_000);
-        let mut whole = build();
-        let fired = whole.run_until(deadline);
-        let mut stepped = build();
-        let mut count = 0u64;
-        while stepped.step_until(deadline) {
-            count += 1;
-        }
-        assert_eq!(count, fired);
-        assert_eq!(stepped.world(), whole.world());
-        assert_eq!(stepped.now(), whole.now());
-        assert_eq!(stepped.now(), deadline, "clock clamps to the deadline");
-        // Events past the deadline stay pending, exactly as run_until.
-        stepped.run_until_idle();
-        whole.run_until_idle();
-        assert_eq!(stepped.world(), whole.world());
-        assert_eq!(stepped.world(), &[1, 3, 5, 9]);
     }
 
     #[test]

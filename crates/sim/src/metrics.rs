@@ -117,6 +117,9 @@ pub mod names {
     pub const MCTP_DROPPED: &str = "bm_mctp_packets_dropped_total";
     /// Management retransmissions issued (counter).
     pub const MCTP_RETRANSMITS: &str = "bm_mctp_retransmits_total";
+    /// Bus crossings deferred to the end of a PCIe link-retrain window
+    /// (counter).
+    pub const LINK_DEFERRALS: &str = "bm_link_retrain_deferrals_total";
     /// Engine command timeouts observed (counter).
     pub const ENGINE_TIMEOUTS: &str = "bm_engine_timeouts_total";
     /// Engine command retries issued (counter).

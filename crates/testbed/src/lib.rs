@@ -15,28 +15,28 @@
 //! * [`world`] — a generic interpreter. [`World`] drives clients,
 //!   dispatches pipeline stages into the scheme, and interprets the
 //!   returned effects (schedule a stage, ring a backend SSD, raise an
-//!   interrupt, charge the completion stack, deliver to the client,
-//!   trace). It contains no per-scheme branches after construction.
+//!   interrupt, charge the completion stack, deliver to the client).
+//!   It contains no per-scheme branches after construction.
 //!
-//! Every command traverses the same five observable points — submit →
-//! translate → doorbell → backend → complete — reported to an optional
-//! [`schemes::PipelineObserver`] installed with [`World::set_observer`].
+//! A run is observed through four opt-in paths, each off unless its
+//! [`TestbedConfig`] flag is set: telemetry spans per command and
+//! stage, the metrics registry (counters, sampled gauges, and the
+//! fault/recovery annotations on its timeline), the SLO engine's
+//! alerts, and the `bm-prof` host-time profiler. The engine's own
+//! resilience counters and recovery log are read through
+//! [`Testbed::engine`] after the run.
 //!
 //! ## Running a workload
 //!
 //! ```
-//! use bm_testbed::schemes::CountingObserver;
 //! use bm_testbed::{Testbed, TestbedConfig, World};
-//! use std::cell::RefCell;
-//! use std::rc::Rc;
 //!
-//! let tb = Testbed::new(TestbedConfig::native(1));
+//! let tb = Testbed::new(TestbedConfig::native(1).with_profiler());
 //! assert_eq!(tb.device_count(), 1);
-//! let mut world = World::new(tb);
-//! let observer = Rc::new(RefCell::new(CountingObserver::default()));
-//! world.set_observer(observer.clone());
-//! let world = world.run(None); // no clients: returns immediately
-//! assert_eq!(world.tb.device_count(), 1);
+//! let world = World::new(tb).run(None); // no clients: returns immediately
+//! assert_eq!(world.events_fired, 0);
+//! let profile = world.tb.profiler().snapshot().expect("profiler on");
+//! assert_eq!(profile.events, 0);
 //! ```
 //!
 //! ## Worked example: adding a scheme
@@ -71,10 +71,7 @@
 //!            Ssd::deliver_read_payload(&io, ctx.host_mem);
 //!            let cqe = ctx.ssds[ssd].post_completion(&io, ctx.host_mem)?;
 //!            let dev = self.direct_map[&(ssd, io.qid.0)];
-//!            vec![
-//!                Effect::Trace { stage: PipelineStage::Backend, dev, cid: cqe.cid },
-//!                Effect::RaiseInterrupt { at: now, dev, cid: cqe.cid, status: cqe.status },
-//!            ]
+//!            vec![Effect::RaiseInterrupt { at: now, dev, cid: cqe.cid, status: cqe.status }]
 //!        }
 //!
 //!        fn ack_host_cq(&mut self, _now, dev, head, ctx) {
@@ -110,9 +107,6 @@ pub mod types;
 pub mod world;
 
 pub use config::{DeviceSpec, SchemeKind, TestbedConfig};
-pub use schemes::{
-    CountingObserver, Effect, FaultLog, FaultTraceEvent, PipelineObserver, PipelineStage, Scheme,
-    SchemeCtx, Stage,
-};
+pub use schemes::{Effect, Scheme, SchemeCtx, Stage};
 pub use types::{BufferId, Client, ClientId, ClientOutput, Completion, DeviceId, IoOp, IoRequest};
 pub use world::{Testbed, World};

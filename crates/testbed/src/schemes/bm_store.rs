@@ -3,7 +3,7 @@
 //! router, and posts host CQEs itself. The BMS-Controller rides along
 //! for the management plane (exposed via [`Scheme::bm_parts`]).
 
-use super::{BuildCtx, Effect, FaultTraceEvent, PipelineStage, Scheme, SchemeCtx, Stage, BUS_HOP};
+use super::{BuildCtx, Effect, Scheme, SchemeCtx, Stage, BUS_HOP};
 use crate::types::DeviceId;
 use crate::world::{Device, VmState};
 use bm_baselines::vfio::VfioCosts;
@@ -85,53 +85,44 @@ impl BmStoreScheme {
     }
 
     /// Engine actions become scheduled pipeline stages, in order.
-    /// Recovery events the engine logged while producing them are
-    /// drained first, so observers see the recovery before its
-    /// consequences.
-    fn actions_to_effects(&mut self, actions: Vec<EngineAction>) -> Vec<Effect> {
-        let mut effects: Vec<Effect> = self
-            .engine
-            .take_recovery_events()
-            .into_iter()
-            .map(|event| Effect::FaultTrace {
-                event: FaultTraceEvent::EngineRecovery(event),
-            })
-            .collect();
+    fn actions_to_effects(&self, actions: Vec<EngineAction>) -> Vec<Effect> {
         let engine = &self.engine;
-        effects.extend(actions.into_iter().map(|action| match action {
-            EngineAction::BackendDoorbell { ssd, tail, at } => Effect::ScheduleAt {
-                at,
-                stage: Stage::EngineBackendDoorbell {
-                    ssd,
-                    tail,
-                    epoch: engine.ring_epoch(ssd),
+        actions
+            .into_iter()
+            .map(|action| match action {
+                EngineAction::BackendDoorbell { ssd, tail, at } => Effect::ScheduleAt {
+                    at,
+                    stage: Stage::EngineBackendDoorbell {
+                        ssd,
+                        tail,
+                        epoch: engine.ring_epoch(ssd),
+                    },
                 },
-            },
-            EngineAction::HostCompletion {
-                func,
-                qid,
-                cid,
-                status,
-                at,
-            } => Effect::ScheduleAt {
-                at,
-                stage: Stage::EngineHostCompletion {
+                EngineAction::HostCompletion {
                     func,
                     qid,
                     cid,
                     status,
+                    at,
+                } => Effect::ScheduleAt {
+                    at,
+                    stage: Stage::EngineHostCompletion {
+                        func,
+                        qid,
+                        cid,
+                        status,
+                    },
                 },
-            },
-            EngineAction::QosWakeup { at } => Effect::ScheduleAt {
-                at,
-                stage: Stage::EngineQosWakeup,
-            },
-            EngineAction::CommandDeadline { ssd, seq, at } => Effect::ScheduleAt {
-                at,
-                stage: Stage::EngineDeadline { ssd, seq },
-            },
-        }));
-        effects
+                EngineAction::QosWakeup { at } => Effect::ScheduleAt {
+                    at,
+                    stage: Stage::EngineQosWakeup,
+                },
+                EngineAction::CommandDeadline { ssd, seq, at } => Effect::ScheduleAt {
+                    at,
+                    stage: Stage::EngineDeadline { ssd, seq },
+                },
+            })
+            .collect()
     }
 }
 
@@ -251,20 +242,12 @@ impl Scheme for BmStoreScheme {
                         },
                     }];
                 }
-                let dev = self.device_for(func, qid);
-                vec![
-                    Effect::Trace {
-                        stage: PipelineStage::Backend,
-                        dev,
-                        cid,
-                    },
-                    Effect::RaiseInterrupt {
-                        at: now + self.engine.timing().interrupt,
-                        dev,
-                        cid,
-                        status,
-                    },
-                ]
+                vec![Effect::RaiseInterrupt {
+                    at: now + self.engine.timing().interrupt,
+                    dev: self.device_for(func, qid),
+                    cid,
+                    status,
+                }]
             }
             Stage::EngineQosWakeup => {
                 let actions = self.engine.qos_wakeup(now, ctx.host_mem);

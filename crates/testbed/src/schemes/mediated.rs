@@ -6,7 +6,7 @@
 //! mediators differ only in cost model, so everything ring-shaped
 //! lives here once.
 
-use super::{BuildCtx, Effect, PipelineStage, Scheme, SchemeCtx, Stage, BUS_HOP};
+use super::{BuildCtx, Effect, Scheme, SchemeCtx, Stage, BUS_HOP};
 use crate::types::DeviceId;
 use crate::world::{Device, VmState};
 use bm_baselines::vfio::VfioCosts;
@@ -201,21 +201,14 @@ impl<M: Mediator> Scheme for MediatedScheme<M> {
                 // consumption from the CQE.
                 att.ssd_sq.sync_head(cqe.sq_head);
                 ctx.ssds[ssd].ring_cq_doorbell(io.qid, att.backend_cq_head as u32);
-                vec![
-                    Effect::Trace {
-                        stage: PipelineStage::Backend,
+                vec![Effect::ScheduleAt {
+                    at: now + self.mediator.completion_delay(),
+                    stage: Stage::GuestComplete {
                         dev,
                         cid: cqe.cid,
+                        status: cqe.status,
                     },
-                    Effect::ScheduleAt {
-                        at: now + self.mediator.completion_delay(),
-                        stage: Stage::GuestComplete {
-                            dev,
-                            cid: cqe.cid,
-                            status: cqe.status,
-                        },
-                    },
-                ]
+                }]
             }
             // The mediator writes the guest CQE and injects the
             // interrupt in the same instant (`at == now` makes the

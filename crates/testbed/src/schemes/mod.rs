@@ -6,8 +6,8 @@
 //! scheduler: each hook returns a list of [`Effect`]s, and the generic
 //! event loop in [`crate::world::World`] interprets them — scheduling
 //! pipeline continuations ([`Stage`]), ringing backend doorbells,
-//! raising interrupts, charging the host completion stack, delivering
-//! to clients, and notifying the [`PipelineObserver`].
+//! raising interrupts, charging the host completion stack, and
+//! delivering to clients.
 //!
 //! ```text
 //! submit ─▶ Stage::Doorbell ─▶ scheme hooks ─▶ Effect::ForwardToSsd
@@ -108,7 +108,7 @@ pub enum Stage {
     /// `dev`'s SQ tail doorbell rings after the submit-side latency.
     /// Dispatched to [`Scheme::on_doorbell`] with the tail read at
     /// dispatch time; `cid` is the command that triggered it (carried
-    /// for observation only).
+    /// for the telemetry submission span only).
     Doorbell {
         /// Device whose doorbell rings.
         dev: DeviceId,
@@ -266,157 +266,6 @@ pub enum Effect {
         /// Completion status.
         status: Status,
     },
-    /// Notify the [`PipelineObserver`] that `cid` passed `stage`.
-    Trace {
-        /// Pipeline point passed.
-        stage: PipelineStage,
-        /// Device the command belongs to.
-        dev: DeviceId,
-        /// The command.
-        cid: Cid,
-    },
-    /// Notify the [`PipelineObserver`] that a fault was injected or a
-    /// recovery action was taken (never silent, per the fault model).
-    FaultTrace {
-        /// What happened.
-        event: FaultTraceEvent,
-    },
-}
-
-/// A fault or recovery action made observable through the pipeline
-/// observer. Injections come from the testbed's `FaultPlan`
-/// interpreter; recoveries come from the engine's timeout machinery
-/// and the management-link retransmit logic.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultTraceEvent {
-    /// A `FaultPlan` event was injected into its target layer.
-    Injected(bm_sim::faults::FaultKind),
-    /// The management link dropped an MCTP packet.
-    MctpPacketDropped,
-    /// The management console retransmitted a request after a drop.
-    MctpRetransmit {
-        /// Retransmission attempt number (1 = first resend).
-        attempt: u32,
-    },
-    /// A bus crossing was deferred to the end of a PCIe link-retrain
-    /// window.
-    LinkDeferred {
-        /// When the deferred crossing actually happens.
-        until: SimTime,
-    },
-    /// The engine's timeout machinery acted (retry, abort, quiesce, or
-    /// slot reclamation).
-    EngineRecovery(bmstore_core::engine::RecoveryEvent),
-}
-
-/// The points of the I/O pipeline an observer can watch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PipelineStage {
-    /// SQE built and pushed into the host SQ.
-    Submit,
-    /// Host LBA translated to the backend LBA.
-    Translate,
-    /// SQ tail doorbell rang at the scheme.
-    Doorbell,
-    /// Backend completion reached the host boundary.
-    Backend,
-    /// Completion delivered to the owning client.
-    Complete,
-}
-
-impl PipelineStage {
-    /// All stages, in pipeline order.
-    pub const ALL: [PipelineStage; 5] = [
-        PipelineStage::Submit,
-        PipelineStage::Translate,
-        PipelineStage::Doorbell,
-        PipelineStage::Backend,
-        PipelineStage::Complete,
-    ];
-
-    pub(crate) fn index(self) -> usize {
-        match self {
-            PipelineStage::Submit => 0,
-            PipelineStage::Translate => 1,
-            PipelineStage::Doorbell => 2,
-            PipelineStage::Backend => 3,
-            PipelineStage::Complete => 4,
-        }
-    }
-}
-
-/// Per-stage instrumentation hook, called by the event loop as each
-/// command traverses the pipeline. Implementations must not assume a
-/// particular scheme: stages arrive in pipeline order per command, but
-/// commands interleave freely.
-pub trait PipelineObserver {
-    /// `cid` on `dev` passed `stage` at `now`.
-    fn on_stage(&mut self, now: SimTime, stage: PipelineStage, dev: DeviceId, cid: Cid);
-
-    /// A fault was injected or a recovery action taken at `now`. The
-    /// default ignores it, so stage-only observers need no change.
-    fn on_fault(&mut self, now: SimTime, event: &FaultTraceEvent) {
-        let _ = (now, event);
-    }
-}
-
-/// A [`PipelineObserver`] that counts traversals per stage.
-///
-/// # Examples
-///
-/// ```
-/// use bm_testbed::schemes::{CountingObserver, PipelineStage};
-/// let obs = CountingObserver::default();
-/// assert_eq!(obs.count(PipelineStage::Submit), 0);
-/// ```
-#[derive(Debug, Default)]
-pub struct CountingObserver {
-    counts: [u64; 5],
-    faults: u64,
-}
-
-impl CountingObserver {
-    /// Number of commands that passed `stage`.
-    pub fn count(&self, stage: PipelineStage) -> u64 {
-        self.counts[stage.index()]
-    }
-
-    /// Number of fault/recovery events observed.
-    pub fn fault_count(&self) -> u64 {
-        self.faults
-    }
-}
-
-impl PipelineObserver for CountingObserver {
-    fn on_stage(&mut self, _now: SimTime, stage: PipelineStage, _dev: DeviceId, _cid: Cid) {
-        self.counts[stage.index()] += 1;
-    }
-
-    fn on_fault(&mut self, _now: SimTime, _event: &FaultTraceEvent) {
-        self.faults += 1;
-    }
-}
-
-/// A [`PipelineObserver`] that records every fault/recovery event with
-/// its timestamp — the assertion surface for fault-scenario tests.
-#[derive(Debug, Default)]
-pub struct FaultLog {
-    events: Vec<(SimTime, FaultTraceEvent)>,
-}
-
-impl FaultLog {
-    /// All recorded events, in observation order.
-    pub fn events(&self) -> &[(SimTime, FaultTraceEvent)] {
-        &self.events
-    }
-}
-
-impl PipelineObserver for FaultLog {
-    fn on_stage(&mut self, _now: SimTime, _stage: PipelineStage, _dev: DeviceId, _cid: Cid) {}
-
-    fn on_fault(&mut self, now: SimTime, event: &FaultTraceEvent) {
-        self.events.push((now, event.clone()));
-    }
 }
 
 /// One I/O scheme: how submissions reach a backend and how

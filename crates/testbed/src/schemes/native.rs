@@ -5,7 +5,7 @@
 //! the guest-side interrupt costs, which live in the device's
 //! [`VmState`](crate::world) and are charged by the interpreter.
 
-use super::{BuildCtx, Effect, PipelineStage, Scheme, SchemeCtx, Stage, BUS_HOP};
+use super::{BuildCtx, Effect, Scheme, SchemeCtx, Stage, BUS_HOP};
 use crate::types::DeviceId;
 use crate::world::{Device, VmState};
 use bm_baselines::vfio::VfioCosts;
@@ -98,20 +98,13 @@ impl Scheme for DirectScheme {
                     .direct_map
                     .get(&(ssd, io.qid.0))
                     .expect("completion for mapped queue");
-                vec![
-                    Effect::Trace {
-                        stage: PipelineStage::Backend,
-                        dev,
-                        cid: cqe.cid,
-                    },
-                    // Hardware MSI straight to the host/guest.
-                    Effect::RaiseInterrupt {
-                        at: now + BUS_HOP,
-                        dev,
-                        cid: cqe.cid,
-                        status: cqe.status,
-                    },
-                ]
+                // Hardware MSI straight to the host/guest.
+                vec![Effect::RaiseInterrupt {
+                    at: now + BUS_HOP,
+                    dev,
+                    cid: cqe.cid,
+                    status: cqe.status,
+                }]
             }
             // bm-lint: allow(wildcard-arm): a scheme only receives stages it scheduled itself; a misrouted variant fails loudly here in every build
             other => unreachable!("direct scheme never schedules {other:?}"),

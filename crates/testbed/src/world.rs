@@ -19,10 +19,7 @@
 //! asserted.
 
 use crate::config::{SchemeKind, TestbedConfig};
-use crate::schemes::{
-    self, BuildCtx, Effect, FaultTraceEvent, PipelineObserver, PipelineStage, Scheme, SchemeCtx,
-    Stage,
-};
+use crate::schemes::{self, BuildCtx, Effect, Scheme, SchemeCtx, Stage};
 use crate::types::{BufferId, Client, ClientId, Completion, DeviceId, IoOp, IoRequest};
 use bm_baselines::vfio::VfioCosts;
 use bm_host::cpu::CpuPool;
@@ -42,15 +39,13 @@ use bm_sim::resource::FifoServer;
 use bm_sim::slo::{self, Alert, AlertKind, AlertState, SloEngine};
 use bm_sim::telemetry::critical_path::{self, BlameWindows, CriticalPathAnalysis};
 use bm_sim::telemetry::{TelemetryEventKind, TelemetryHandle, TelemetryStage};
-use bm_sim::{Scheduler, SimDuration, SimRng, SimTime, Simulation};
+use bm_sim::{Scheduler, SimDuration, SimTime, Simulation};
 use bm_ssd::firmware::CommitAction;
 use bm_ssd::{Ssd, SsdConfig, SsdId};
 use bmstore_core::controller::commands::BmsCommand;
 use bmstore_core::controller::{request_packets, BackendAdmin, BmsController, ControllerAction};
 use bmstore_core::engine::BmsEngine;
-use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
 
 pub(crate) struct PendingHost {
     pub(crate) client: ClientId,
@@ -120,8 +115,6 @@ pub struct Testbed {
     telemetry: TelemetryHandle,
     metrics: MetricsHandle,
     prof: ProfHandle,
-    #[allow(dead_code)]
-    rng: SimRng,
 }
 
 impl Testbed {
@@ -132,7 +125,6 @@ impl Testbed {
     /// Panics if the configuration is inconsistent (e.g. more
     /// whole-disk devices than SSDs for a direct scheme).
     pub fn new(cfg: TestbedConfig) -> Self {
-        let mut rng = SimRng::seed_from(cfg.seed);
         let mut ssds: Vec<Ssd> = (0..cfg.ssds)
             .map(|i| {
                 let mut ssd_cfg = SsdConfig::p4510_2tb(SsdId(i as u8))
@@ -186,7 +178,6 @@ impl Testbed {
             telemetry,
             metrics,
             prof,
-            rng: rng.fork(0xBEEF),
             host_mem,
             cpu,
             ssds,
@@ -398,8 +389,6 @@ fn effect_seg(effect: &Effect) -> &'static str {
         Effect::RaiseInterrupt { .. } => "fx:RaiseInterrupt",
         Effect::ChargeCpu { .. } => "fx:ChargeCpu",
         Effect::CompleteToClient { .. } => "fx:CompleteToClient",
-        Effect::Trace { .. } => "fx:Trace",
-        Effect::FaultTrace { .. } => "fx:FaultTrace",
     }
 }
 
@@ -410,9 +399,8 @@ pub struct World {
     clients: Vec<Option<Box<dyn Client>>>,
     pending_mgmt: Vec<(SimTime, BmsCommand)>,
     pending_raw: Vec<(SimTime, RawAction)>,
-    mgmt_responses: Rc<RefCell<Vec<(SimTime, MiResponse)>>>,
+    mgmt_responses: Vec<(SimTime, MiResponse)>,
     next_mgmt_tag: u8,
-    observer: Option<Rc<RefCell<dyn PipelineObserver>>>,
     faults: FaultRuntime,
     sampler_keys: SamplerKeys,
     /// Total simulator events fired by the last [`World::run`] (zero
@@ -445,9 +433,8 @@ impl World {
             clients: Vec::new(),
             pending_mgmt: Vec::new(),
             pending_raw: Vec::new(),
-            mgmt_responses: Rc::new(RefCell::new(Vec::new())),
+            mgmt_responses: Vec::new(),
             next_mgmt_tag: 0,
-            observer: None,
             faults: FaultRuntime::default(),
             sampler_keys: SamplerKeys::default(),
             events_fired: 0,
@@ -456,25 +443,6 @@ impl World {
             arena_slots: 0,
             slo,
             run_end: SimTime::ZERO,
-        }
-    }
-
-    /// Installs a per-stage instrumentation hook; every command's
-    /// traversal of submit → translate → doorbell → backend → complete
-    /// is reported to it.
-    pub fn set_observer(&mut self, observer: Rc<RefCell<dyn PipelineObserver>>) {
-        self.observer = Some(observer);
-    }
-
-    fn observe(&self, now: SimTime, stage: PipelineStage, dev: DeviceId, cid: Cid) {
-        if let Some(obs) = &self.observer {
-            obs.borrow_mut().on_stage(now, stage, dev, cid);
-        }
-    }
-
-    fn observe_fault(&self, now: SimTime, event: &FaultTraceEvent) {
-        if let Some(obs) = &self.observer {
-            obs.borrow_mut().on_fault(now, event);
         }
     }
 
@@ -496,8 +464,8 @@ impl World {
     }
 
     /// Management responses received so far, with their arrival times.
-    pub fn mgmt_responses(&self) -> Rc<RefCell<Vec<(SimTime, MiResponse)>>> {
-        Rc::clone(&self.mgmt_responses)
+    pub fn mgmt_responses(&self) -> &[(SimTime, MiResponse)] {
+        &self.mgmt_responses
     }
 
     /// Registers a client.
@@ -542,37 +510,14 @@ impl World {
                 w.sample_metrics(s, interval);
             });
         }
-        if sim.world().tb.prof.is_enabled() {
-            // Profiled run: drive the scheduler one event at a time so
-            // the profiler sees each retirement. `step`/`step_until`
-            // replicate `run_until_idle`/`run_until` exactly (same pop
-            // order, same deadline clamp), so event execution — and
-            // therefore every figure — is byte-identical to the fast
-            // path below; the profiler only reads the host clock.
-            let prof = sim.world().tb.prof.clone();
-            prof.run_begin();
-            loop {
-                let fired = match deadline {
-                    Some(t) => sim.step_until(t),
-                    None => sim.step(),
-                };
-                if !fired {
-                    break;
-                }
-                let sched = sim.scheduler_mut();
-                prof.on_event_retired(sched.events_fired(), sched.arena_slots());
-            }
-            prof.run_end();
-        } else {
-            match deadline {
-                Some(t) => {
-                    sim.run_until(t);
-                }
-                None => {
-                    sim.run_until_idle();
-                }
-            }
-        }
+        // Nothing the profiler records feeds back into the model, so a
+        // profiled run executes exactly the events of an unprofiled one.
+        let prof = sim.world().tb.prof.clone();
+        prof.run_begin();
+        match deadline {
+            Some(t) => sim.run_until(t),
+            None => sim.run_until_idle(),
+        };
         let (fired, peak, clamped, arena) = {
             let sched = sim.scheduler_mut();
             (
@@ -582,6 +527,7 @@ impl World {
                 sched.arena_slots(),
             )
         };
+        prof.run_end(fired);
         let end = sim.now();
         let mut world = sim.into_world();
         world.events_fired = fired;
@@ -800,8 +746,6 @@ impl World {
                 is_write: req.op.is_write(),
             },
         );
-        self.observe(now, PipelineStage::Submit, req.dev, cid);
-        self.observe(now, PipelineStage::Translate, req.dev, cid);
         // Open the root telemetry span; the scheme's stage spans hang
         // off the CmdId this allocates. Inert when telemetry is off.
         self.tb
@@ -822,7 +766,6 @@ impl World {
         let effects = match stage {
             Stage::Doorbell { dev, cid } => {
                 let tail = self.tb.devices[dev.0].sq.tail() as u32;
-                self.observe(now, PipelineStage::Doorbell, dev, cid);
                 if self.tb.telemetry.is_enabled() {
                     // Host submission span: SQE push → doorbell ring.
                     let (cmd, opcode) = self.tb.telemetry.lookup(dev.0 as u16, cid.0);
@@ -860,14 +803,15 @@ impl World {
     }
 
     /// A bus crossing scheduled inside a PCIe link-retrain window is
-    /// deferred to the window's end (and the deferral is observable).
-    /// Inert when no retrain is active: `link_until` defaults to time
-    /// zero, which nothing precedes.
-    fn defer_past_retrain(&self, s: &Scheduler<World>, at: SimTime) -> SimTime {
+    /// deferred to the window's end (and counted on the metrics
+    /// registry). Inert when no retrain is active: `link_until`
+    /// defaults to time zero, which nothing precedes.
+    fn defer_past_retrain(&self, at: SimTime) -> SimTime {
         if at < self.faults.link_until {
-            let until = self.faults.link_until;
-            self.observe_fault(s.now(), &FaultTraceEvent::LinkDeferred { until });
-            until
+            self.tb
+                .metrics
+                .with(|m| m.counter_add(MetricKey::new(metric_names::LINK_DEFERRALS), 1));
+            self.faults.link_until
         } else {
             at
         }
@@ -885,7 +829,7 @@ impl World {
                     Stage::Doorbell { .. }
                     | Stage::Forward { .. }
                     | Stage::EngineDoorbell { .. }
-                    | Stage::EngineBackendDoorbell { .. } => self.defer_past_retrain(s, at),
+                    | Stage::EngineBackendDoorbell { .. } => self.defer_past_retrain(at),
                     Stage::BackendComplete { .. }
                     | Stage::GuestComplete { .. }
                     | Stage::EngineBackendComplete { .. }
@@ -898,7 +842,7 @@ impl World {
                 });
             }
             Effect::ForwardToSsd { at, ssd, qid, tail } => {
-                let at = self.defer_past_retrain(s, at);
+                let at = self.defer_past_retrain(at);
                 s.schedule_at(at, move |w: &mut World, s| {
                     w.tb.prof.enter("ssd:doorbell");
                     let completions =
@@ -918,7 +862,7 @@ impl World {
                 cid,
                 status,
             } => {
-                let at = self.defer_past_retrain(s, at);
+                let at = self.defer_past_retrain(at);
                 // A mediator injecting at the current instant completes
                 // inline, in the same event (not behind queued peers).
                 if at <= s.now() {
@@ -942,8 +886,6 @@ impl World {
                     w.tb.prof.exit();
                 });
             }
-            Effect::Trace { stage, dev, cid } => self.observe(s.now(), stage, dev, cid),
-            Effect::FaultTrace { event } => self.observe_fault(s.now(), &event),
         }
         self.tb.prof.exit();
     }
@@ -1001,7 +943,6 @@ impl World {
             }
             FaultKind::SsdReinsert { ssd } => self.reinsert_ssd(s, ssd),
         }
-        self.observe_fault(now, &FaultTraceEvent::Injected(kind));
         // Fault windows annotate the metrics timeline, so utilization
         // excursions in the report line up with their cause.
         if self.tb.metrics.is_enabled() {
@@ -1296,7 +1237,6 @@ impl World {
             // the slot in the host's ring view.
             dev.sq.retire();
         }
-        self.observe(now, PipelineStage::Complete, dev_id, cid);
         self.tb
             .telemetry
             .end_command(now, dev_id.0 as u16, cid.0, status.is_success());
@@ -1383,9 +1323,6 @@ impl World {
                 }
                 actions
             };
-            for _ in 0..dropped {
-                self.observe_fault(now, &FaultTraceEvent::MctpPacketDropped);
-            }
             if dropped > 0 {
                 self.tb.metrics.with(|m| {
                     m.counter_add(
@@ -1405,7 +1342,6 @@ impl World {
                 return; // link declared dead for this command
             }
             attempt += 1;
-            self.observe_fault(now, &FaultTraceEvent::MctpRetransmit { attempt });
             self.tb
                 .metrics
                 .with(|m| m.counter_add(MetricKey::new(metric_names::MCTP_RETRANSMITS), 1));
@@ -1425,7 +1361,7 @@ impl World {
                     for p in packets {
                         if let Ok(Some(msg)) = asm.push(p) {
                             if let Ok(resp) = MiResponse::from_bytes(&msg.body) {
-                                self.mgmt_responses.borrow_mut().push((s.now(), resp));
+                                self.mgmt_responses.push((s.now(), resp));
                             }
                         }
                     }
@@ -1493,9 +1429,8 @@ impl World {
     /// extends the outage — the pending restart re-arms itself.
     fn crash_engine(&mut self, s: &mut Scheduler<World>, restart_at: SimTime) {
         let now = s.now();
-        let (was_crashed, effects) = {
-            let tb = &mut self.tb;
-            let Some(scheme) = tb.scheme.as_mut() else {
+        let was_crashed = {
+            let Some(scheme) = self.tb.scheme.as_mut() else {
                 return;
             };
             let Some((engine, _)) = scheme.bm_parts() else {
@@ -1503,11 +1438,8 @@ impl World {
             };
             let was_crashed = engine.is_crashed();
             engine.crash(now, restart_at);
-            // Flush the crash recovery-log entry to the observer now,
-            // not when the next I/O happens to pass through the scheme.
-            (was_crashed, scheme.on_engine_actions(Vec::new()))
+            was_crashed
         };
-        self.apply_effects(s, effects);
         if !was_crashed {
             s.schedule_at(restart_at, |w: &mut World, s| w.restart_engine(s));
         }

@@ -6,15 +6,18 @@
 //! * complete in a deterministic order — repeating a run with the same
 //!   seed reproduces the exact completion sequence, and every scheme
 //!   completes the same set of commands, and
-//! * traverse all five observable pipeline stages exactly once per
-//!   command (submit → translate → doorbell → backend → complete).
+//! * traverse every pipeline stage exactly once per command: submit,
+//!   host doorbell, backend SSD service, and delivery to the client
+//!   (counted by the profiler's exact scope counts and the SSDs'
+//!   service tallies).
 
 use bm_nvme::types::Lba;
+use bm_prof::Snapshot;
 use bm_sim::SimTime;
 use bm_ssd::DataMode;
 use bm_testbed::{
-    BufferId, Client, ClientOutput, Completion, CountingObserver, DeviceId, IoOp, IoRequest,
-    PipelineStage, SchemeKind, Testbed, TestbedConfig, World,
+    BufferId, Client, ClientOutput, Completion, DeviceId, IoOp, IoRequest, SchemeKind, Testbed,
+    TestbedConfig, World,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -93,8 +96,18 @@ struct RunResult {
     order: Vec<u64>,
     /// Read-back bytes per LBA index.
     readback: Vec<Vec<u8>>,
-    /// Observer counts for the five pipeline stages.
-    stage_counts: [u64; 5],
+    /// Traversal counts for submit, host doorbell, backend SSD
+    /// service and client delivery.
+    stage_counts: [u64; 4],
+}
+
+/// Exact entries into scope `seg`, wherever it nests.
+fn scope_count(snap: &Snapshot, seg: &str) -> u64 {
+    snap.scopes
+        .iter()
+        .filter(|s| s.path.last().is_some_and(|last| last == seg))
+        .map(|s| s.count)
+        .sum()
 }
 
 fn run_workload(scheme: SchemeKind, seed: u64, lbas: &[u64]) -> RunResult {
@@ -104,7 +117,8 @@ fn run_workload(scheme: SchemeKind, seed: u64, lbas: &[u64]) -> RunResult {
         other => TestbedConfig::single_vm(other),
     }
     .with_seed(seed)
-    .with_data_mode(DataMode::Full);
+    .with_data_mode(DataMode::Full)
+    .with_profiler();
     let mut tb = Testbed::new(cfg);
     let mut wbufs = Vec::new();
     let mut rbufs = Vec::new();
@@ -124,18 +138,21 @@ fn run_workload(scheme: SchemeKind, seed: u64, lbas: &[u64]) -> RunResult {
     };
     let mut world = World::new(tb);
     world.add_client(Box::new(client));
-    let observer = Rc::new(RefCell::new(CountingObserver::default()));
-    world.set_observer(observer.clone());
     let mut world = world.run(None);
     let readback = rbufs
         .iter()
         .map(|&buf| world.tb.host_mem.read_vec(world.tb.buffer_addr(buf), 4096))
         .collect();
-    let obs = observer.borrow();
-    let mut stage_counts = [0u64; 5];
-    for (i, stage) in PipelineStage::ALL.into_iter().enumerate() {
-        stage_counts[i] = obs.count(stage);
-    }
+    let snap = world.tb.profiler().snapshot().expect("profiler on");
+    let ssd_ops = (0..world.tb.config().ssds)
+        .map(|i| world.tb.ssd(i).service_stats().ops)
+        .sum();
+    let stage_counts = [
+        scope_count(&snap, "submit"),
+        scope_count(&snap, "stage:Doorbell"),
+        ssd_ops,
+        scope_count(&snap, "deliver"),
+    ];
     let order = order.borrow().clone();
     RunResult {
         order,
@@ -173,7 +190,7 @@ fn check_equivalence(seed: u64, lbas: &[u64]) {
         );
         // (c) Each command traversed every pipeline stage exactly once.
         assert_eq!(
-            a.stage_counts, [total; 5],
+            a.stage_counts, [total; 4],
             "pipeline stage traversal under {scheme:?}"
         );
     }
@@ -188,7 +205,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Randomized seeds and LBA sets: every scheme round-trips the
-    /// bytes, completes deterministically, and hits all five stages.
+    /// bytes, completes deterministically, and hits every stage once.
     #[test]
     fn equivalence_holds_for_random_workloads(
         seed in 1u64..10_000,

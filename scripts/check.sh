@@ -40,6 +40,10 @@ echo "==> fault-scenario suite (release)"
 cargo test --release -q --test resilience
 cargo test --release -q -p bm-testbed --test conservation
 cargo test --release -q -p bm-pcie --test packet_loss
+# The fault-injection smoke asserts every plan event surfaced on the
+# metrics timeline, the MCTP/link-retrain recovery paths ran, and every
+# submitted I/O completed exactly once (~1 s).
+cargo run --release -q -p bm-bench --bin faults_smoke > /dev/null
 
 echo "==> chaos smoke (release, fixed seeds)"
 # The crash-recovery contract: a short fixed-seed chaos campaign per

@@ -127,9 +127,8 @@ fn spiked_world(telemetry: bool, per_tenant: u64, log: &CompletionLog) -> World 
 /// Decodes the four scheduled scrapes in arrival order:
 /// (mid f0, mid f1, final f0, final f1).
 fn scraped_pages(world: &World) -> [TelemetryLogPage; 4] {
-    let responses = world.mgmt_responses();
-    let pages: Vec<TelemetryLogPage> = responses
-        .borrow()
+    let pages: Vec<TelemetryLogPage> = world
+        .mgmt_responses()
         .iter()
         .map(|(_, r)| TelemetryLogPage::from_bytes(&r.payload).expect("log page decodes"))
         .collect();
