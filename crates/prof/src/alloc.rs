@@ -18,9 +18,10 @@
 //! static ALLOCATOR: bm_prof::alloc::CountingAlloc = bm_prof::alloc::CountingAlloc;
 //! ```
 //!
-//! and then `bm_prof::alloc::arm()` on the measuring thread. Without
-//! the global-allocator registration every counter stays zero and the
-//! profiler simply reports no allocations.
+//! and then `bm_prof::alloc::arm()` on the measuring thread, before
+//! the profiled run starts: the profiler reads the armed flag once, at
+//! `run_begin`. Without the global-allocator registration every counter
+//! stays zero and the profiler simply reports no allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
